@@ -1,9 +1,7 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -27,15 +25,14 @@ func (noopRegistrar) Unwatch(string) error                                { retu
 
 // BenchmarkClusterMatch compares embedded coordinator/worker clusters of
 // 1, 2 and 4 workers against single-process match on a generated social
-// graph. Run with QGP_BENCH_RECORD=1 to refresh the BENCH_cluster.json
-// baseline:
+// graph:
 //
-//	QGP_BENCH_RECORD=1 go test -run '^$' -bench BenchmarkClusterMatch .
+//	go test -run '^$' -bench BenchmarkClusterMatch .
 //
-// On a single-CPU machine the wall-clock speedup is modest; the point of
-// the baseline is tracking the coordination overhead (cluster vs single)
-// across PRs, not proving parallel scalability — internal/bench's SimWork
-// experiments do that machine-independently.
+// On a single-CPU machine the wall-clock speedup is modest; the point is
+// the coordination overhead (cluster vs single), not parallel
+// scalability — internal/bench's SimWork experiments show that
+// machine-independently. The end-to-end ledger is e2ebench.
 func BenchmarkClusterMatch(b *testing.B) {
 	const graphSize = 2000
 	g := gen.Social(gen.DefaultSocial(graphSize, 42))
@@ -45,23 +42,12 @@ func BenchmarkClusterMatch(b *testing.B) {
 		b.Fatal(err)
 	}
 
-	record := map[string]interface{}{
-		"benchmark": "BenchmarkClusterMatch",
-		"graph":     fmt.Sprintf("social n=%d seed=42", graphSize),
-		"pattern":   pattern,
-	}
-
 	b.Run("single", func(b *testing.B) {
-		var n int
 		for i := 0; i < b.N; i++ {
-			res, err := match.QMatch(g, q, nil)
-			if err != nil {
+			if _, err := match.QMatch(g, q, nil); err != nil {
 				b.Fatal(err)
 			}
-			n = len(res.Matches)
 		}
-		record["single_ns_per_op"] = avgNs(b)
-		record["answers"] = n
 	})
 
 	for _, workers := range []int{1, 2, 4} {
@@ -79,7 +65,6 @@ func BenchmarkClusterMatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			record[fmt.Sprintf("cluster%d_ns_per_op", workers)] = avgNs(b)
 		})
 	}
 
@@ -88,8 +73,7 @@ func BenchmarkClusterMatch(b *testing.B) {
 	// carries a simulated 8ms round trip, serialized per copy the way one
 	// wire session is, so throughput is bound by overlapping read streams
 	// — exactly what replica-read routing buys — rather than by this
-	// machine's core count. QPS must scale with k (the recorded
-	// read_scaleout_r3_vs_r1 ratio tracks it across PRs).
+	// machine's core count. QPS must scale with k.
 	const tenants = 8
 	const rtt = 8 * time.Millisecond
 	cg := gen.Social(gen.DefaultSocial(400, 42))
@@ -127,22 +111,15 @@ func BenchmarkClusterMatch(b *testing.B) {
 					}
 				}
 			})
-			record[fmt.Sprintf("concurrent_t%d_r%d_ns_per_op", tenants, k)] = avgNs(b)
 		})
-	}
-	if r1, ok := record[fmt.Sprintf("concurrent_t%d_r1_ns_per_op", tenants)].(int64); ok {
-		if r3, ok := record[fmt.Sprintf("concurrent_t%d_r3_ns_per_op", tenants)].(int64); ok && r3 > 0 {
-			record["read_scaleout_r3_vs_r1"] = float64(r1) / float64(r3)
-		}
 	}
 
 	// Admission-control overhead: the k=3 workload again, with every op
 	// paying the front end's per-tenant QoS work — Admit (token bucket),
 	// fence lookup, latency Observe into the tenant's histogram — against
-	// limits high enough that nothing throttles. The recorded
-	// limiter_overhead ratio (limited vs unlimited r3) tracks that
-	// admission control stays in the noise (the bar is ≤5%) next to an
-	// 8ms wire round trip.
+	// limits high enough that nothing throttles. Next to the unlimited
+	// replicas=3 case it shows that admission control stays in the noise
+	// (the bar is ≤5%) next to an 8ms wire round trip.
 	b.Run(fmt.Sprintf("tenants=%d/replicas=3/limited", tenants), func(b *testing.B) {
 		prim := make([]cluster.Transport, 2)
 		for i := range prim {
@@ -186,39 +163,7 @@ func BenchmarkClusterMatch(b *testing.B) {
 				tm.Observe(name, "match", start)
 			}
 		})
-		record[fmt.Sprintf("concurrent_t%d_r3_limited_ns_per_op", tenants)] = avgNs(b)
 	})
-	if r3, ok := record[fmt.Sprintf("concurrent_t%d_r3_ns_per_op", tenants)].(int64); ok && r3 > 0 {
-		if lim, ok := record[fmt.Sprintf("concurrent_t%d_r3_limited_ns_per_op", tenants)].(int64); ok {
-			record["limiter_overhead"] = float64(lim) / float64(r3)
-		}
-	}
-
-	if os.Getenv("QGP_BENCH_RECORD") != "" {
-		b.StopTimer()
-		f, err := os.Create("BENCH_cluster.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(record); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote BENCH_cluster.json")
-	}
-}
-
-// avgNs reads the per-op time accumulated so far in a sub-benchmark. The
-// testing package only exposes elapsed time through b.Elapsed.
-func avgNs(b *testing.B) int64 {
-	if b.N == 0 {
-		return 0
-	}
-	return b.Elapsed().Nanoseconds() / int64(b.N)
 }
 
 // latencyTransport models one wire session to a remote worker: requests

@@ -1,9 +1,7 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/cluster"
@@ -20,10 +18,9 @@ import (
 // the single-process dynamic.Matcher baseline doing the same
 // maintenance in memory. The gap is the coordination tax per batch —
 // affected-region planning, per-worker wire round trips, delta merging
-// — which the HA work must not regress on the k=1 hot path. Run with
-// QGP_BENCH_RECORD=1 to refresh the BENCH_cluster_update.json baseline:
+// — which the HA work must not regress on the k=1 hot path:
 //
-//	QGP_BENCH_RECORD=1 go test -run '^$' -bench BenchmarkClusterUpdate .
+//	go test -run '^$' -bench BenchmarkClusterUpdate .
 func BenchmarkClusterUpdate(b *testing.B) {
 	const graphSize = 2000
 	g := gen.Social(gen.DefaultSocial(graphSize, 42))
@@ -49,12 +46,6 @@ func BenchmarkClusterUpdate(b *testing.B) {
 		return []server.UpdateSpec{{Op: op, From: from, To: to, Label: "follow"}}
 	}
 
-	record := map[string]interface{}{
-		"benchmark": "BenchmarkClusterUpdate",
-		"graph":     fmt.Sprintf("social n=%d seed=42", graphSize),
-		"pattern":   pattern,
-	}
-
 	b.Run("single", func(b *testing.B) {
 		m, err := dynamic.NewMatcher(g, q)
 		if err != nil {
@@ -70,7 +61,6 @@ func BenchmarkClusterUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		record["single_ns_per_op"] = avgNs(b)
 	})
 
 	for _, workers := range []int{2, 4} {
@@ -91,7 +81,6 @@ func BenchmarkClusterUpdate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			record[fmt.Sprintf("cluster%d_ns_per_op", workers)] = avgNs(b)
 		})
 	}
 
@@ -115,7 +104,6 @@ func BenchmarkClusterUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		record["cluster2_metrics_ns_per_op"] = avgNs(b)
 	})
 
 	// k=2 replication: the combined batch is mirrored to each fragment's
@@ -142,23 +130,5 @@ func BenchmarkClusterUpdate(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		record["cluster2_replicated_ns_per_op"] = avgNs(b)
 	})
-
-	if os.Getenv("QGP_BENCH_RECORD") != "" {
-		b.StopTimer()
-		f, err := os.Create("BENCH_cluster_update.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(record); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote BENCH_cluster_update.json")
-	}
 }

@@ -1,9 +1,7 @@
 package repro
 
 import (
-	"encoding/json"
 	"fmt"
-	"os"
 	"testing"
 
 	"repro/internal/cluster"
@@ -20,12 +18,11 @@ import (
 // watch's answer set current? Unlike BenchmarkClusterUpdate (latency of
 // one minimal batch), each iteration here is a 8-op batch mixing edge
 // churn with periodic node add/remove, so the number reflects steady
-// write pressure rather than round-trip overhead. The reported
-// batches_per_sec values are the headline: they scale with the versioned
-// core's |batch| + |affected region| cost, not with |G|. Run with
-// QGP_BENCH_RECORD=1 to refresh BENCH_update_throughput.json:
+// write pressure rather than round-trip overhead. ns/op is the cost of
+// one batch; it scales with the versioned core's |batch| + |affected
+// region| cost, not with |G|:
 //
-//	QGP_BENCH_RECORD=1 go test -run '^$' -bench BenchmarkUpdateThroughput .
+//	go test -run '^$' -bench BenchmarkUpdateThroughput .
 func BenchmarkUpdateThroughput(b *testing.B) {
 	const graphSize = 2000
 	const opsPerBatch = 8
@@ -73,19 +70,6 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 		return specs
 	}
 
-	record := map[string]interface{}{
-		"benchmark":     "BenchmarkUpdateThroughput",
-		"graph":         fmt.Sprintf("social n=%d seed=42", graphSize),
-		"ops_per_batch": opsPerBatch,
-		"watches":       len(patterns),
-	}
-	perSec := func(ns int64) float64 {
-		if ns <= 0 {
-			return 0
-		}
-		return 1e9 / float64(ns)
-	}
-
 	// Single process: one versioned core shared by all standing watches —
 	// the batch is applied once and each matcher re-verifies its own
 	// affected candidates via ApplyShared.
@@ -115,9 +99,6 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 				}
 			}
 		}
-		ns := avgNs(b)
-		record["single_ns_per_batch"] = ns
-		record["single_batches_per_sec"] = perSec(ns)
 	})
 
 	for _, workers := range []int{2, 4} {
@@ -140,17 +121,14 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			ns := avgNs(b)
-			record[fmt.Sprintf("cluster%d_ns_per_batch", workers)] = ns
-			record[fmt.Sprintf("cluster%d_batches_per_sec", workers)] = perSec(ns)
 		})
 	}
 
 	// Instrumentation overhead: the same workers=2 workload with every
 	// batch profiled (per-stage timings on the coordinator, the profile
-	// command on the workers). The acceptance bar is that
-	// profile_overhead stays within a few percent of the plain
-	// workers=2 number — profiling is cheap enough to leave on.
+	// command on the workers). The acceptance bar is that it stays within
+	// a few percent of the plain workers=2 number — profiling is cheap
+	// enough to leave on.
 	b.Run("workers=2,profile", func(b *testing.B) {
 		ts := cluster.InProcessN(2, server.Config{})
 		c, err := cluster.New(g, ts, cluster.Config{D: 2})
@@ -169,28 +147,5 @@ func BenchmarkUpdateThroughput(b *testing.B) {
 				b.Fatal(err)
 			}
 		}
-		ns := avgNs(b)
-		record["cluster2_profiled_ns_per_batch"] = ns
-		record["cluster2_profiled_batches_per_sec"] = perSec(ns)
-		if base, ok := record["cluster2_ns_per_batch"].(int64); ok && base > 0 {
-			record["profile_overhead"] = float64(ns-base) / float64(base)
-		}
 	})
-
-	if os.Getenv("QGP_BENCH_RECORD") != "" {
-		b.StopTimer()
-		f, err := os.Create("BENCH_update_throughput.json")
-		if err != nil {
-			b.Fatal(err)
-		}
-		enc := json.NewEncoder(f)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(record); err != nil {
-			b.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			b.Fatal(err)
-		}
-		b.Logf("wrote BENCH_update_throughput.json")
-	}
 }

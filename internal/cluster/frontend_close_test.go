@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"net"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -23,20 +24,17 @@ func (t *closeCounting) Close() error {
 	return t.Transport.Close()
 }
 
-// TestFrontendClosesWorkersOnDisconnect: in Isolate mode (the legacy
-// cluster-per-connection model) an abrupt client disconnect must tear
-// the per-connection cluster down — the coordinator and every worker
-// session it owns, including pool-acquired replicas — instead of leaking
-// them for the process lifetime. (In the default shared-session mode the
-// cluster deliberately outlives connections; TestFrontendSharedSession
-// covers that.)
+// TestFrontendClosesWorkersOnDisconnect: the shared cluster outlives
+// its connections but never leaks worker sessions. An abrupt client
+// disconnect leaves the workers open for the other connections; a second
+// gen closes every worker and pool replica of the old cluster; Shutdown
+// closes the rest.
 func TestFrontendClosesWorkersOnDisconnect(t *testing.T) {
 	var mu sync.Mutex
 	var made []*closeCounting
 	pool := newTestPool(4)
 	fe := NewFrontend(FrontendConfig{
 		Cluster: Config{D: 2, Replicas: 2, Pool: pool},
-		Isolate: true,
 		NewWorkers: func() ([]Transport, error) {
 			ts := make([]Transport, 2)
 			mu.Lock()
@@ -55,50 +53,80 @@ func TestFrontendClosesWorkersOnDisconnect(t *testing.T) {
 		t.Fatal(err)
 	}
 	go fe.Serve(ln)
-	t.Cleanup(func() {
+	shutdown := func() {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		fe.Shutdown(ctx)
-	})
+		if err := fe.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}
+	t.Cleanup(shutdown)
+	// closed reports, per worker NewWorkers made so far, whether it was
+	// closed.
+	closed := func() []bool {
+		mu.Lock()
+		defer mu.Unlock()
+		out := make([]bool, len(made))
+		for i, cc := range made {
+			out[i] = cc.closed.Load()
+		}
+		return out
+	}
 
 	conn, err := net.Dial("tcp", ln.Addr().String())
 	if err != nil {
 		t.Fatal(err)
 	}
-	cl := client.NewClient(conn)
-	if _, _, err := cl.Gen("social", 150, 4); err != nil {
+	if _, _, err := client.NewClient(conn).Gen("social", 150, 4); err != nil {
 		t.Fatalf("gen: %v", err)
 	}
-	mu.Lock()
-	workers := len(made)
-	mu.Unlock()
-	if workers != 2 {
-		t.Fatalf("expected 2 worker transports, NewWorkers made %d", workers)
+	if got := closed(); len(got) != 2 {
+		t.Fatalf("expected 2 worker transports, NewWorkers made %d", len(got))
 	}
 	if got := pool.handedCount(); got != 2 {
 		t.Fatalf("expected 2 pool replicas, pool handed out %d", got)
 	}
 
 	// Abrupt disconnect: RST instead of FIN, no unwatch/cleanup traffic.
+	// Wait for the front end to drop the connection, then check that the
+	// cluster survived it.
 	conn.(*net.TCPConn).SetLinger(0)
 	conn.Close()
-
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		mu.Lock()
-		allClosed := true
-		for _, cc := range made {
-			if !cc.closed.Load() {
-				allClosed = false
-			}
-		}
-		mu.Unlock()
-		if allClosed && pool.openCount() == 0 {
+		fe.mu.Lock()
+		open := len(fe.conns)
+		fe.mu.Unlock()
+		if open == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("worker sessions still open 5s after abrupt client disconnect (pool open: %d)", pool.openCount())
+			t.Fatal("front end still tracks the connection 5s after an abrupt disconnect")
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+	if got := closed(); !reflect.DeepEqual(got, []bool{false, false}) || pool.openCount() != 2 {
+		t.Fatalf("disconnect closed workers %v (pool open: %d), want all open", got, pool.openCount())
+	}
+	c := dialFrontend(t, ln.Addr().String())
+	if _, err := c.Match(testPatterns[0], nil); err != nil {
+		t.Fatalf("match after disconnect: %v", err)
+	}
+
+	// A second gen replaces the cluster: every old worker and replica is
+	// released before the new ones serve.
+	if _, _, err := c.Gen("social", 150, 5); err != nil {
+		t.Fatalf("second gen: %v", err)
+	}
+	if got := closed(); !reflect.DeepEqual(got, []bool{true, true, false, false}) {
+		t.Fatalf("after second gen workers closed = %v, want the first two only", got)
+	}
+	if handed, open := pool.handedCount(), pool.openCount(); handed != 4 || open != 2 {
+		t.Fatalf("after second gen pool handed %d, open %d; want 4 and 2", handed, open)
+	}
+
+	shutdown()
+	if got := closed(); !reflect.DeepEqual(got, []bool{true, true, true, true}) || pool.openCount() != 0 {
+		t.Fatalf("after shutdown workers closed = %v (pool open: %d), want all closed", got, pool.openCount())
 	}
 }

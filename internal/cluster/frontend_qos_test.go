@@ -6,7 +6,6 @@ import (
 	"net"
 	"reflect"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -16,7 +15,7 @@ import (
 	"repro/internal/tenant"
 )
 
-// startQoSFrontend starts a shared-mode front end with admission
+// startQoSFrontend starts a front end with admission
 // control configured and a metrics registry attached.
 func startQoSFrontend(t *testing.T, tcfg tenant.Config, reg *obs.Registry) (string, *Frontend) {
 	t.Helper()
@@ -229,20 +228,28 @@ func TestFrontendTwoTenantFairness(t *testing.T) {
 	}
 }
 
-// TestFrontendStatsConsistency: the shared front end's fanned-out,
-// replica-routed stats must be byte-identical to the isolate mode's
-// frontend-side collection over the same graph — same counts, same
-// label names, same rendered rows — and both must honor TopK the same
-// way.
+// TestFrontendStatsConsistency: the front end's fanned-out,
+// replica-routed stats must be byte-identical to a single qgpd's
+// collection over the same graph — same counts, same label names, same
+// rendered rows — and both must honor TopK the same way.
 func TestFrontendStatsConsistency(t *testing.T) {
 	reg := obs.NewRegistry()
 	sharedAddr, _ := startQoSFrontend(t, tenant.Config{}, reg)
-	var builds atomic.Int64
-	isoAddr, _ := startSharedFrontend(t, true, &builds)
+	srv := server.New(server.Config{Logf: func(string, ...interface{}) {}})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		srv.Shutdown(ctx)
+	})
 
 	shared := dialFrontend(t, sharedAddr)
-	iso := dialFrontend(t, isoAddr)
-	for _, c := range []*client.Client{shared, iso} {
+	single := dialFrontend(t, ln.Addr().String())
+	for _, c := range []*client.Client{shared, single} {
 		if _, _, err := c.Gen("social", 300, 5); err != nil {
 			t.Fatalf("gen: %v", err)
 		}
@@ -253,19 +260,19 @@ func TestFrontendStatsConsistency(t *testing.T) {
 		if err != nil {
 			t.Fatalf("shared stats: %v", err)
 		}
-		ri, err := iso.Stats(topK)
+		ri, err := single.Stats(topK)
 		if err != nil {
-			t.Fatalf("isolate stats: %v", err)
+			t.Fatalf("single-server stats: %v", err)
 		}
 		if rs.Nodes != ri.Nodes || rs.Edges != ri.Edges || rs.Labels != ri.Labels {
-			t.Fatalf("counts diverge: shared %d/%d/%d, isolate %d/%d/%d",
+			t.Fatalf("counts diverge: shared %d/%d/%d, single %d/%d/%d",
 				rs.Nodes, rs.Edges, rs.Labels, ri.Nodes, ri.Edges, ri.Labels)
 		}
 		if !reflect.DeepEqual(rs.LabelNames, ri.LabelNames) {
 			t.Fatalf("label names diverge: %v vs %v", rs.LabelNames, ri.LabelNames)
 		}
 		if !reflect.DeepEqual(rs.Triples, ri.Triples) {
-			t.Fatalf("rendered rows diverge (topK=%d):\nshared  %v\nisolate %v", topK, rs.Triples, ri.Triples)
+			t.Fatalf("rendered rows diverge (topK=%d):\nshared %v\nsingle %v", topK, rs.Triples, ri.Triples)
 		}
 		if !reflect.DeepEqual(rs.TripleRows, ri.TripleRows) {
 			t.Fatalf("structured rows diverge (topK=%d)", topK)

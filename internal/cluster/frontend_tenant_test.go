@@ -4,6 +4,7 @@ import (
 	"context"
 	"net"
 	"reflect"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -12,13 +13,12 @@ import (
 	"repro/internal/server"
 )
 
-// startSharedFrontend starts a front end in the default shared-session
-// mode, counting how many worker sets (i.e. fragmentations) it builds.
-func startSharedFrontend(t *testing.T, isolate bool, builds *atomic.Int64) (string, *Frontend) {
+// startSharedFrontend starts a front end, counting how many worker sets
+// (i.e. fragmentations) it builds.
+func startSharedFrontend(t *testing.T, builds *atomic.Int64) (string, *Frontend) {
 	t.Helper()
 	fe := NewFrontend(FrontendConfig{
 		Cluster: Config{D: 2},
-		Isolate: isolate,
 		NewWorkers: func() ([]Transport, error) {
 			builds.Add(1)
 			return InProcessN(2, server.Config{MaxWatches: -1}), nil
@@ -54,7 +54,7 @@ func dialFrontend(t *testing.T, addr string) *client.Client {
 // loaded, and no second worker set is ever built.
 func TestFrontendSharedSession(t *testing.T) {
 	var builds atomic.Int64
-	addr, _ := startSharedFrontend(t, false, &builds)
+	addr, _ := startSharedFrontend(t, &builds)
 	c1 := dialFrontend(t, addr)
 	c2 := dialFrontend(t, addr)
 
@@ -65,7 +65,7 @@ func TestFrontendSharedSession(t *testing.T) {
 	if err != nil {
 		t.Fatalf("match c1: %v", err)
 	}
-	// c2 never ran gen: in the shared model it reads the same cluster.
+	// c2 never ran gen: it reads the same cluster.
 	r2, err := c2.Match(testPatterns[0], nil)
 	if err != nil {
 		t.Fatalf("match on second connection: %v", err)
@@ -78,38 +78,12 @@ func TestFrontendSharedSession(t *testing.T) {
 	}
 }
 
-// TestFrontendIsolateMode: the -isolate flag restores per-connection
-// clusters — a second connection has no graph, and session commands are
-// refused.
-func TestFrontendIsolateMode(t *testing.T) {
-	var builds atomic.Int64
-	addr, _ := startSharedFrontend(t, true, &builds)
-	c1 := dialFrontend(t, addr)
-	c2 := dialFrontend(t, addr)
-
-	if _, _, err := c1.Gen("social", 150, 4); err != nil {
-		t.Fatalf("gen: %v", err)
-	}
-	if _, err := c2.Match(testPatterns[0], nil); err == nil {
-		t.Fatal("isolate mode: second connection saw the first one's graph")
-	}
-	if _, _, err := c2.Gen("social", 150, 4); err != nil {
-		t.Fatalf("gen c2: %v", err)
-	}
-	if n := builds.Load(); n != 2 {
-		t.Fatalf("isolate mode built %d clusters for two gens, want 2", n)
-	}
-	if _, err := c1.Session("alice"); err == nil {
-		t.Fatal("isolate mode accepted the session command")
-	}
-}
-
 // TestFrontendTenantNamespaces drives the tenant layer over the wire:
 // private watch names, writer-only update deltas, cross-tenant delta
 // drains, session listing and eviction.
 func TestFrontendTenantNamespaces(t *testing.T) {
 	var builds atomic.Int64
-	addr, _ := startSharedFrontend(t, false, &builds)
+	addr, _ := startSharedFrontend(t, &builds)
 	alice := dialFrontend(t, addr)
 	bob := dialFrontend(t, addr)
 
@@ -197,7 +171,7 @@ func TestFrontendTenantNamespaces(t *testing.T) {
 // names a session gets an auto-created one, evicted on disconnect.
 func TestFrontendEphemeralSessionDiesWithConnection(t *testing.T) {
 	var builds atomic.Int64
-	addr, fe := startSharedFrontend(t, false, &builds)
+	addr, fe := startSharedFrontend(t, &builds)
 	c1 := dialFrontend(t, addr)
 	if _, _, err := c1.Gen("social", 150, 4); err != nil {
 		t.Fatalf("gen: %v", err)
@@ -227,6 +201,54 @@ func TestFrontendEphemeralSessionDiesWithConnection(t *testing.T) {
 	// Its watch left the shared coordinator too.
 	if ws := fe.Tenants().List(); len(ws) != 0 {
 		t.Fatalf("tenant manager still tracks %+v", ws)
+	}
+}
+
+// TestFrontendEndedEphemeralSessionReattaches: ending a connection's
+// ephemeral session from another connection must not wedge it. Its next
+// commands attach a fresh ephemeral session instead of failing with "no
+// session named" until it reconnects. A named session keeps refusing:
+// its client chose the name and can send session again.
+func TestFrontendEndedEphemeralSessionReattaches(t *testing.T) {
+	var builds atomic.Int64
+	addr, _ := startSharedFrontend(t, &builds)
+	a := dialFrontend(t, addr)
+	b := dialFrontend(t, addr)
+	if _, _, err := b.Gen("social", 150, 4); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if _, err := a.Match(testPatterns[0], nil); err != nil {
+		t.Fatalf("match: %v", err)
+	}
+	infos, err := b.Sessions()
+	if err != nil || len(infos) != 1 {
+		t.Fatalf("expected a's ephemeral session, got %+v, %v", infos, err)
+	}
+	old := infos[0].Name
+	if err := b.EndSession(old); err != nil {
+		t.Fatalf("endsession %s: %v", old, err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := a.Match(testPatterns[0], nil); err != nil {
+			t.Fatalf("match %d after %s ended: %v", i, old, err)
+		}
+	}
+	if _, err := a.Deltas(); err != nil {
+		t.Fatalf("deltas after %s ended: %v", old, err)
+	}
+	infos, err = b.Sessions()
+	if err != nil || len(infos) != 1 || infos[0].Name == old || infos[0].Reads != 3 {
+		t.Fatalf("want one fresh session with a's 3 reads, got %+v, %v", infos, err)
+	}
+
+	if _, err := a.Session("alice"); err != nil {
+		t.Fatalf("session: %v", err)
+	}
+	if err := b.EndSession("alice"); err != nil {
+		t.Fatalf("endsession alice: %v", err)
+	}
+	if _, err := a.Match(testPatterns[0], nil); err == nil || !strings.Contains(err.Error(), `no session named "alice"`) {
+		t.Fatalf("match on an ended named session: %v, want no session named \"alice\"", err)
 	}
 }
 

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"context"
+	"encoding/json"
 	"net"
 	"reflect"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -157,5 +160,99 @@ func TestFrontendRejectsWorkerRouting(t *testing.T) {
 	// A plain update on the same connection still works.
 	if _, _, err := c.Update(server.UpdateSpec{Op: "addNode", Label: "person"}); err != nil {
 		t.Fatalf("plain update after rejections: %v", err)
+	}
+}
+
+// TestFrontendHealth pins the /healthz document: healthy and empty before
+// any gen, one cluster with a row per fragment after one, and still
+// answering while a second gen is blocked building workers — Health must
+// not wait on the lock a rebuild holds.
+func TestFrontendHealth(t *testing.T) {
+	gate := make(chan struct{})
+	var builds atomic.Int64
+	fe := NewFrontend(FrontendConfig{
+		Cluster: Config{D: 2},
+		NewWorkers: func() ([]Transport, error) {
+			if builds.Add(1) > 1 {
+				<-gate
+			}
+			return InProcessN(2, server.Config{}), nil
+		},
+		Logf: func(string, ...interface{}) {},
+	})
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go fe.Serve(ln)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		fe.Shutdown(ctx)
+	})
+	var release sync.Once
+	open := func() { release.Do(func() { close(gate) }) }
+	t.Cleanup(open) // runs before Shutdown, so a failed test cannot wedge it
+
+	type healthDoc struct {
+		Status   string          `json:"status"`
+		Sessions int             `json:"sessions"`
+		Clusters []ClusterHealth `json:"clusters"`
+	}
+	// health round-trips the document through JSON, as /healthz serves it.
+	health := func() (h healthDoc, err error) {
+		doc, err := fe.Health()
+		if err != nil {
+			return h, err
+		}
+		b, err := json.Marshal(doc)
+		if err != nil {
+			return h, err
+		}
+		err = json.Unmarshal(b, &h)
+		return h, err
+	}
+
+	if h, err := health(); err != nil || h.Status != "ok" || h.Sessions != 0 || len(h.Clusters) != 0 {
+		t.Fatalf("before gen: %+v, %v; want ok with no clusters", h, err)
+	}
+	c := dialFrontend(t, ln.Addr().String())
+	if _, _, err := c.Gen("social", 150, 4); err != nil {
+		t.Fatalf("gen: %v", err)
+	}
+	if h, err := health(); err != nil || h.Status != "ok" || h.Sessions != 1 || len(h.Clusters) != 1 || len(h.Clusters[0].Fragments) != 2 {
+		t.Fatalf("after gen on 2 workers: %+v, %v; want ok with one cluster of 2 fragments", h, err)
+	}
+
+	// A second gen blocks inside NewWorkers while holding the rebuild lock.
+	done := make(chan error, 1)
+	go func() {
+		_, _, err := c.Gen("social", 150, 5)
+		done <- err
+	}()
+	for deadline := time.Now().Add(5 * time.Second); builds.Load() < 2; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("second gen never reached NewWorkers")
+		}
+	}
+	answered := make(chan error, 1)
+	go func() {
+		_, err := health()
+		answered <- err
+	}()
+	select {
+	case err := <-answered:
+		if err != nil {
+			t.Fatalf("during rebuild: %v", err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Health blocked for 1s behind a gen stuck in NewWorkers")
+	}
+	open()
+	if err := <-done; err != nil {
+		t.Fatalf("second gen: %v", err)
+	}
+	if h, err := health(); err != nil || len(h.Clusters) != 1 || len(h.Clusters[0].Fragments) != 2 {
+		t.Fatalf("after second gen: %+v, %v; want one cluster of 2 fragments", h, err)
 	}
 }

@@ -109,7 +109,7 @@ func TestCSVRoundTrip(t *testing.T) {
 		t.Errorf("edges: %d != %d", res.Graph.NumEdges(), g.NumEdges())
 	}
 	// Node labels are not carried by a bare edge list; only ids and edges
-	// survive. Isolated nodes are dropped by the format — assert only
+	// survive. Nodes without edges are dropped by the format — assert only
 	// that every edge survived.
 	for vi := 0; vi < g.NumNodes(); vi++ {
 		v := graph.NodeID(vi)

@@ -353,7 +353,7 @@ func TestRandomizedModelEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			delete(model.edges, edgeKey{f, to, l})
-		case op < 9: // remove node (isolate)
+		case op < 9: // remove node (tombstone: drop its edges)
 			v := int32(r.Intn(len(model.labels)))
 			if _, err := s.Apply(RemoveNode(v)); err != nil {
 				t.Fatal(err)

@@ -586,6 +586,14 @@ func (m *Manager) Fence(tenant string) uint64 {
 	return 0
 }
 
+// Has reports whether the named session is live (not evicted).
+func (m *Manager) Has(name string) bool {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	_, ok := m.tenants[name]
+	return ok
+}
+
 // Watches returns the tenant's local watch names, sorted.
 func (m *Manager) Watches(tenant string) []string {
 	m.mu.Lock()
