@@ -18,6 +18,8 @@ package dynamic
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"sort"
 
 	"repro/internal/graph"
@@ -164,24 +166,19 @@ func ApplyVersioned(vg *graph.Versioned, ups []Update) (*graph.OldView, []graph.
 // a graph.View so a versioned core's cheap pre-batch OldView serves it
 // without materializing a second graph.
 func AffectedWithin(oldG, newG graph.View, touched []graph.NodeID, hops int) []graph.NodeID {
-	n := oldG.NumNodes()
-	if m := newG.NumNodes(); m > n {
-		n = m
-	}
-	// One multi-source BFS per graph version over flat visited arrays:
-	// per-touched-node Neighborhood calls would re-walk (and re-sort) the
-	// shared ball once per source, which dominated the coordinator's
-	// update cost. Scanning the shared array ascending at the end yields
-	// the sorted union without a sort.
-	seen := make([]bool, n)
-	markBall(oldG, touched, hops, seen)
-	markBall(newG, touched, hops, seen)
-	out := make([]graph.NodeID, 0, len(touched))
-	for v, ok := range seen {
-		if ok {
-			out = append(out, graph.NodeID(v))
+	// One multi-source BFS per graph version: per-touched-node
+	// Neighborhood calls would re-walk (and re-sort) the shared ball once
+	// per source, which dominated the coordinator's update cost. The two
+	// balls mostly overlap, so the new one contributes only what the old
+	// one lacks, and one sort of the union follows the balls, not |V|.
+	var inOld, inNew nodeSet
+	out := ball(oldG, touched, hops, &inOld)
+	for _, v := range ball(newG, touched, hops, &inNew) {
+		if !inOld.has(v) {
+			out = append(out, v)
 		}
 	}
+	slices.Sort(out)
 	return out
 }
 
@@ -190,48 +187,91 @@ func AffectedWithin(oldG, newG graph.View, touched []graph.NodeID, hops int) []g
 // cluster coordinator uses it to bound fragment materialization upkeep
 // to the region around inserted edges.
 func Ball(g graph.View, sources []graph.NodeID, hops int) []graph.NodeID {
-	seen := make([]bool, g.NumNodes())
-	markBall(g, sources, hops, seen)
+	var visited nodeSet
+	out := ball(g, sources, hops, &visited)
+	slices.Sort(out)
+	return out
+}
+
+// ball returns, in visit order, every node within hops undirected steps
+// of a source, via a multi-source BFS over g that records each node in
+// visited. Sources outside g are skipped (nodes added after this graph's
+// version). The result doubles as the BFS queue: each hop's frontier is
+// the range the previous hop appended.
+func ball(g graph.View, sources []graph.NodeID, hops int, visited *nodeSet) []graph.NodeID {
 	out := make([]graph.NodeID, 0, len(sources))
-	for v, ok := range seen {
-		if ok {
-			out = append(out, graph.NodeID(v))
+	for _, v := range sources {
+		if int(v) < g.NumNodes() && visited.add(v) {
+			out = append(out, v)
 		}
+	}
+	for hop, lo := 0, 0; hop < hops && lo < len(out); hop++ {
+		hi := len(out)
+		for _, v := range out[lo:hi] {
+			for _, e := range g.Out(v) {
+				if visited.add(e.To) {
+					out = append(out, e.To)
+				}
+			}
+			for _, e := range g.In(v) {
+				if visited.add(e.To) {
+					out = append(out, e.To)
+				}
+			}
+		}
+		lo = hi
 	}
 	return out
 }
 
-// markBall sets seen[v] for every node within hops undirected steps of a
-// source, via a multi-source BFS over g. Sources outside g are skipped.
-func markBall(g graph.View, sources []graph.NodeID, hops int, seen []bool) {
-	visited := make([]bool, g.NumNodes())
-	var frontier, next []graph.NodeID
-	for _, v := range sources {
-		if int(v) >= g.NumNodes() || visited[v] {
-			continue // node added after this graph's version
-		}
-		visited[v] = true
-		seen[v] = true
-		frontier = append(frontier, v)
+// nodeSet is an open-addressed hash set of node ids whose table grows
+// with its contents, so a BFS over a small ball costs the ball, not |V|.
+// The zero value is an empty set.
+type nodeSet struct {
+	slots []graph.NodeID // id+1 per occupied slot; 0 marks an empty one
+	shift uint           // 32 - log2(len(slots)): Fibonacci hashing keeps the top bits
+	n     int
+}
+
+// slot returns the slot holding v, or the empty slot where v belongs.
+// The table must be non-empty.
+func (s *nodeSet) slot(v graph.NodeID) uint32 {
+	mask := uint32(len(s.slots) - 1)
+	i := uint32(v) * 0x9E3779B9 >> s.shift
+	for s.slots[i] != 0 && s.slots[i] != v+1 {
+		i = (i + 1) & mask
 	}
-	for hop := 0; hop < hops && len(frontier) > 0; hop++ {
-		next = next[:0]
-		for _, v := range frontier {
-			for _, e := range g.Out(v) {
-				if !visited[e.To] {
-					visited[e.To] = true
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
-			for _, e := range g.In(v) {
-				if !visited[e.To] {
-					visited[e.To] = true
-					seen[e.To] = true
-					next = append(next, e.To)
-				}
-			}
+	return i
+}
+
+// has reports whether v is in the set.
+func (s *nodeSet) has(v graph.NodeID) bool {
+	return s.n > 0 && s.slots[s.slot(v)] != 0
+}
+
+// add inserts v and reports whether it was absent.
+func (s *nodeSet) add(v graph.NodeID) bool {
+	if 2*(s.n+1) > len(s.slots) {
+		s.grow()
+	}
+	i := s.slot(v)
+	if s.slots[i] != 0 {
+		return false
+	}
+	s.slots[i] = v + 1
+	s.n++
+	return true
+}
+
+// grow doubles the table and rehashes. It starts at 256 slots, which
+// holds a typical 1-hop ball around a 1-edge batch without rehashing.
+func (s *nodeSet) grow() {
+	old := s.slots
+	size := max(256, 2*len(old))
+	s.slots, s.shift, s.n = make([]graph.NodeID, size), uint(32-bits.TrailingZeros(uint(size))), 0
+	for _, x := range old {
+		if x != 0 {
+			s.add(x - 1)
 		}
-		frontier, next = next, frontier
 	}
 }

@@ -151,6 +151,49 @@ func TestAffectedWithin(t *testing.T) {
 	}
 }
 
+// TestBallMatchesNeighborhoods checks the multi-source BFS behind Ball and
+// AffectedWithin against the union of per-source graph.Neighborhood
+// balls, on balls large enough to grow the visited set several times.
+func TestBallMatchesNeighborhoods(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(400, 3))
+	ng, _, err := Apply(g, []Update{store.AddEdge(1, 2, "follow"), store.RemoveNode(5)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	union := func(gs []*graph.Graph, srcs []graph.NodeID, hops int) []graph.NodeID {
+		in := make(map[graph.NodeID]bool)
+		for _, x := range gs {
+			for _, v := range srcs {
+				if int(v) < x.NumNodes() {
+					for _, u := range x.Neighborhood(v, hops) {
+						in[u] = true
+					}
+				}
+			}
+		}
+		out := make([]graph.NodeID, 0, len(in))
+		for v := range in {
+			out = append(out, v)
+		}
+		sortNodeIDs(out)
+		return out
+	}
+	r := rand.New(rand.NewSource(8))
+	for trial := 0; trial < 60; trial++ {
+		srcs := []graph.NodeID{graph.NodeID(g.NumNodes() + 3)} // outside: ignored
+		for k := r.Intn(5); k > 0; k-- {
+			srcs = append(srcs, graph.NodeID(r.Intn(g.NumNodes())))
+		}
+		hops := trial % 3
+		if got, want := Ball(g, srcs, hops), union([]*graph.Graph{g}, srcs, hops); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Ball(%v, %d) = %d nodes, want %d", srcs, hops, len(got), len(want))
+		}
+		if got, want := AffectedWithin(g, ng, srcs, hops), union([]*graph.Graph{g, ng}, srcs, hops); !reflect.DeepEqual(got, want) {
+			t.Fatalf("AffectedWithin(%v, %d) = %d nodes, want %d", srcs, hops, len(got), len(want))
+		}
+	}
+}
+
 // buyPattern: people who buy at least 2 products.
 func buyPattern() *core.Pattern {
 	p := core.NewPattern()

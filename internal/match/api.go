@@ -2,10 +2,10 @@ package match
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -52,25 +52,41 @@ type Options struct {
 var ErrBudgetExceeded = fmt.Errorf("match: extension budget exceeded")
 
 // combineRestrictions intersects the caller's FocusRestrict option with an
-// algorithm-internal restriction (IncQMatch). A nil result means no
-// restriction.
-func combineRestrictions(n int, opts *Options, internal []graph.NodeID) *bitset.Set {
-	var fromOpts, fromInternal *bitset.Set
-	if opts != nil && len(opts.FocusRestrict) > 0 {
-		fromOpts = toBitset(opts.FocusRestrict, n)
+// algorithm-internal restriction (IncQMatch's sorted Π(Q) answers) into a
+// sorted, duplicate-free list over graph nodes [0, n). A nil result means
+// no restriction; a non-nil empty one admits no focus candidate.
+func combineRestrictions(n int, opts *Options, internal []graph.NodeID) ([]graph.NodeID, error) {
+	if opts == nil || len(opts.FocusRestrict) == 0 {
+		return internal, nil
 	}
-	if internal != nil {
-		fromInternal = toBitset(internal, n)
+	fromOpts := opts.FocusRestrict
+	sorted := true
+	for i, v := range fromOpts {
+		if v < 0 || int(v) >= n {
+			return nil, fmt.Errorf("match: focus restriction node %d outside [0, %d)", v, n)
+		}
+		sorted = sorted && (i == 0 || fromOpts[i-1] < v)
 	}
-	switch {
-	case fromOpts == nil:
-		return fromInternal
-	case fromInternal == nil:
-		return fromOpts
-	default:
-		fromOpts.IntersectWith(fromInternal)
-		return fromOpts
+	if !sorted {
+		fromOpts = slices.Compact(slices.Sorted(slices.Values(fromOpts)))
 	}
+	if internal == nil {
+		return fromOpts, nil
+	}
+	out := make([]graph.NodeID, 0, min(len(fromOpts), len(internal)))
+	for i, j := 0, 0; i < len(fromOpts) && j < len(internal); {
+		switch a, b := fromOpts[i], internal[j]; {
+		case a < b:
+			i++
+		case a > b:
+			j++
+		default:
+			out = append(out, a)
+			i++
+			j++
+		}
+	}
+	return out, nil
 }
 
 // QMatch evaluates a QGP with the paper's optimized algorithm (§4):
@@ -199,22 +215,27 @@ func evalPattern(g *graph.Graph, p *core.Pattern, name string, opts *Options, cf
 	if opts != nil && opts.OrderBy != nil {
 		pref = opts.OrderBy(p)
 	}
-	set := combineRestrictions(g.NumNodes(), opts, restrict)
-	if cfg.useSim && set != nil && set.Count()*8 <= g.NumNodes() {
+	set, err := combineRestrictions(g.NumNodes(), opts, restrict)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.useSim && set != nil && len(set)*8 <= g.NumNodes() {
 		// Focus-scoped fast path: simulation and the acceptance filter
 		// cost O(|G|) per evaluation no matter how few focus candidates
 		// are asked about, while the anchored search itself only visits
 		// the candidates' neighborhoods. With a small restriction the
 		// label-based candidate sets win outright. Answers are identical:
 		// the filters are sound over-approximations that prune the
-		// search without changing the enumerated isomorphisms.
+		// search without changing the enumerated isomorphisms. Label
+		// candidates are tested per node against the graph's label
+		// index, so this path allocates nothing |V|-sized.
 		cfg.useSim, cfg.quantFilter = false, false
 		if pp != nil {
 			pp.FastPath = true
 		}
 	}
 	if pp != nil && set != nil {
-		pp.Restricted = set.Count()
+		pp.Restricted = len(set)
 	}
 	pr, err := compile(g, p, cfg.useSim, cfg.quantFilter, pref)
 	if pp != nil {
@@ -230,8 +251,8 @@ func evalPattern(g *graph.Graph, p *core.Pattern, name string, opts *Options, cf
 		for u := range p.Nodes {
 			pp.Nodes = append(pp.Nodes, NodeProfile{
 				Name:       p.Nodes[u].Name,
-				Candidates: pr.cand[u].Count(),
-				Accepted:   pr.accept[u].Count(),
+				Candidates: pr.size(pr.cand, u),
+				Accepted:   pr.size(pr.accept, u),
 			})
 		}
 		for _, u := range pr.order {

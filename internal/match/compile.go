@@ -8,7 +8,7 @@ package match
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/bitset"
 	"repro/internal/core"
@@ -23,27 +23,27 @@ type program struct {
 	p *core.Pattern
 
 	edgeLabel []graph.LabelID // resolved edge labels (NoLabel → unmatchable)
+	label     []graph.LabelID // resolved node labels, each with a non-empty row
 	order     []int           // pattern node indexes; order[0] is the focus
 	anchors   []anchorInfo    // per position ≥ 1: how to generate candidates
 	checks    [][]int         // per position: edges verified once this node binds
 	quant     []int           // non-existential, non-negated edge indexes
 
 	// cand[u] over-approximates the stratified-isomorphism images of u
-	// (label-only for Enum, dual simulation for QMatch). Counting is sound
-	// against these sets.
+	// (dual simulation for QMatch). Counting is sound against these sets.
+	// A nil cand means label-tested candidates: the images of u are the
+	// graph's label row for label[u], and membership is the O(1) test
+	// NodeLabel(w) == label[u], so compiling allocates nothing |V|-sized.
 	cand []*bitset.Set
 	// accept[u] further filters candidates that can appear in a
 	// quantifier-valid match (threshold test of Lemma 13). Only acceptance
 	// search uses it; counting must not (counts range over all stratified
-	// isomorphisms).
+	// isomorphisms). Without the filter it is cand, nil included.
 	accept []*bitset.Set
 
 	// hasEQ reports a numeric/ratio EQ quantifier that is not universal
 	// (count == total); such patterns cannot early-accept.
 	hasEQ bool
-
-	used    []uint32 // injectivity stamps, indexed by graph node
-	version uint32
 
 	// budget, when > 0, caps total extension attempts; budgetExceeded is
 	// set when the cap fires and the evaluation must be discarded.
@@ -60,7 +60,7 @@ var errNoMatches = fmt.Errorf("match: empty candidate set")
 
 // compile builds a program for a positive pattern. useSim selects dual
 // simulation (plain, for counting) as the candidate filter; otherwise
-// candidates are label-based. quantFilter additionally computes the
+// candidates are label-tested. quantFilter additionally computes the
 // acceptance filter from quantifier thresholds. pref, when a valid
 // permutation of node indexes, guides the matching order (see buildOrder).
 // compile returns errNoMatches when some candidate set is empty (the
@@ -90,22 +90,29 @@ func compile(g *graph.Graph, p *core.Pattern, useSim, quantFilter bool, pref []i
 		}
 	}
 
-	// Candidate sets: label-only or plain dual simulation (stratified-sound).
-	if useSim {
+	pr.label = make([]graph.LabelID, len(p.Nodes))
+	for u, pn := range p.Nodes {
+		pr.label[u] = g.LookupLabel(pn.Label)
+		if pr.label[u] == graph.NoLabel || len(g.NodesByLabel(pr.label[u])) == 0 {
+			return nil, errNoMatches
+		}
+	}
+
+	// Candidate sets: plain dual simulation (stratified-sound) or labels.
+	switch {
+	case useSim:
 		sets, ok := simulation.Candidates(g, p, false)
 		if !ok {
 			return nil, errNoMatches
 		}
 		pr.cand = sets
-	} else {
+	case quantFilter:
+		// The acceptance filter shrinks materialized copies of cand.
 		pr.cand = make([]*bitset.Set, len(p.Nodes))
-		for u, pn := range p.Nodes {
+		for u, l := range pr.label {
 			pr.cand[u] = bitset.New(g.NumNodes())
-			for _, v := range g.NodesByLabelName(pn.Label) {
+			for _, v := range g.NodesByLabel(l) {
 				pr.cand[u].Add(int(v))
-			}
-			if pr.cand[u].Empty() {
-				return nil, errNoMatches
 			}
 		}
 	}
@@ -134,7 +141,6 @@ func compile(g *graph.Graph, p *core.Pattern, useSim, quantFilter bool, pref []i
 	}
 
 	pr.buildOrder(pref)
-	pr.used = make([]uint32, g.NumNodes())
 	return pr, nil
 }
 
@@ -293,13 +299,53 @@ func prefRank(pref []int, n int) []int {
 	return rank
 }
 
-// focusCandidates returns the acceptance-filtered focus candidates, sorted.
-func (pr *program) focusCandidates() []graph.NodeID {
-	var out []graph.NodeID
-	pr.accept[pr.p.Focus].ForEach(func(vi int) bool {
-		out = append(out, graph.NodeID(vi))
-		return true
-	})
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+// in reports whether w is in sets[u] (pr.cand or pr.accept); nil sets
+// are label-tested.
+func (pr *program) in(sets []*bitset.Set, u int, w graph.NodeID) bool {
+	if sets == nil {
+		return pr.g.NodeLabel(w) == pr.label[u]
+	}
+	return sets[u].Contains(int(w))
+}
+
+// size returns |sets[u]|.
+func (pr *program) size(sets []*bitset.Set, u int) int {
+	if sets == nil {
+		return len(pr.g.NodesByLabel(pr.label[u]))
+	}
+	return sets[u].Count()
+}
+
+// eachFocus calls f on the acceptance-filtered focus candidates that lie
+// in restrict (sorted, duplicate-free; nil means unrestricted), in
+// ascending order, until f returns false. It walks whichever side is
+// smaller: a scoped re-verification restricts to a handful of nodes and
+// must not pay a sweep over every label-compatible candidate.
+func (pr *program) eachFocus(restrict []graph.NodeID, f func(graph.NodeID) bool) {
+	focus := pr.p.Focus
+	if restrict != nil && len(restrict) < pr.size(pr.accept, focus) {
+		for _, v := range restrict {
+			if pr.in(pr.accept, focus, v) && !f(v) {
+				return
+			}
+		}
+		return
+	}
+	visit := func(v graph.NodeID) bool {
+		if restrict != nil {
+			if _, ok := slices.BinarySearch(restrict, v); !ok {
+				return true
+			}
+		}
+		return f(v)
+	}
+	if pr.accept == nil {
+		for _, v := range pr.g.NodesByLabel(pr.label[focus]) {
+			if !visit(v) {
+				return
+			}
+		}
+		return
+	}
+	pr.accept[focus].ForEach(func(vi int) bool { return visit(graph.NodeID(vi)) })
 }

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -214,6 +215,129 @@ func TestQMatchNeverMoreVerificationsThanEnum(t *testing.T) {
 		if rq.Metrics.Verifications > re.Metrics.Verifications {
 			t.Errorf("seed %d: QMatch verified %d > Enum %d\npattern:\n%s",
 				seed, rq.Metrics.Verifications, re.Metrics.Verifications, q)
+		}
+	}
+}
+
+// quantifierVariants returns copies of p with every quantified
+// (non-existential, non-negated) edge set to each of a numeric ≥, a
+// numeric =, a numeric ≤ and a ratio ≤ quantifier, plus p itself (whose
+// generated quantifiers are ratio ≥).
+func quantifierVariants(p *core.Pattern) []*core.Pattern {
+	out := []*core.Pattern{p}
+	for _, q := range []core.Quantifier{core.Count(core.GE, 2), core.Count(core.EQ, 1), core.Count(core.LE, 2), core.Ratio(core.LE, 5000)} {
+		v := *p
+		v.Edges = append([]core.PEdge(nil), p.Edges...)
+		for i := range v.Edges {
+			if !v.Edges[i].Q.IsExistential() && !v.Edges[i].IsNegated() {
+				v.Edges[i].Q = q
+			}
+		}
+		out = append(out, &v)
+	}
+	return out
+}
+
+// TestFastPathDifferential pins the focus-scoped fast path — label-tested
+// candidates, no simulation, no acceptance filter — to the simulation
+// path: QMatch under a small FocusRestrict must equal unrestricted QMatch
+// intersected with the restriction. It runs on a versioned graph after
+// batches that add nodes, remove nodes and remove edges, so the label
+// rows it tests against include tombstoned and batch-created nodes, and
+// the restriction arrives unsorted with duplicates. The fast path's
+// profile must report each node's label-row length as both its candidate
+// and its accepted count.
+func TestFastPathDifferential(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(600, 7))
+	var pats []*core.Pattern
+	for neg := 0; neg <= 1; neg++ {
+		for nodes := 2; nodes <= 3; nodes++ {
+			for _, p := range gen.Patterns(g, gen.PatternConfig{Nodes: nodes, Edges: nodes, RatioBP: 3000, NegEdges: neg, Seed: 11}, 3) {
+				pats = append(pats, quantifierVariants(p)...)
+			}
+		}
+	}
+	vg := graph.NewVersioned(g.Clone())
+	r := rand.New(rand.NewSource(5))
+	var named []graph.NodeID // the last batch's created and removed nodes
+	for round := 0; round < 4; round++ {
+		if round > 0 {
+			cur := vg.Graph()
+			persons := len(cur.NodesByLabelName("person"))
+			var batch []graph.Mutation
+			named = named[:0]
+			for i := 0; i < 4; i++ {
+				batch = append(batch, graph.Mutation{Op: graph.MutAddNode, Label: "person"})
+				fresh := graph.NodeID(cur.NumNodes() + i)
+				named = append(named, fresh)
+				for j := 0; j < 5; j++ {
+					other := graph.NodeID(r.Intn(persons))
+					batch = append(batch,
+						graph.Mutation{Op: graph.MutAddEdge, From: fresh, To: other, Label: "follow"},
+						graph.Mutation{Op: graph.MutAddEdge, From: other, To: fresh, Label: "follow"})
+				}
+			}
+			for i := 0; i < 3; i++ {
+				v := graph.NodeID(r.Intn(persons))
+				named = append(named, v)
+				batch = append(batch, graph.Mutation{Op: graph.MutRemoveNode, From: v})
+			}
+			for i := 0; i < 20; i++ {
+				v := graph.NodeID(r.Intn(persons))
+				if out := cur.Out(v); len(out) > 0 {
+					e := out[r.Intn(len(out))]
+					batch = append(batch, graph.Mutation{Op: graph.MutRemoveEdge, From: v, To: e.To, Label: cur.LabelName(e.Label)})
+				}
+			}
+			if _, _, err := vg.Apply(batch); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cur := vg.Graph()
+		n := cur.NumNodes()
+		for pi, q := range pats {
+			restrict := append([]graph.NodeID(nil), named...)
+			for len(restrict) < 64 {
+				restrict = append(restrict, graph.NodeID(r.Intn(n)))
+			}
+			restrict = append(restrict, restrict[0])
+			r.Shuffle(len(restrict), func(i, j int) { restrict[i], restrict[j] = restrict[j], restrict[i] })
+			in := make(map[graph.NodeID]bool, len(restrict))
+			for _, v := range restrict {
+				in[v] = true
+			}
+
+			full, err := QMatch(cur, q, nil)
+			if err != nil {
+				t.Fatalf("round %d pattern %d: %v", round, pi, err)
+			}
+			var want []graph.NodeID
+			for _, v := range full.Matches {
+				if in[v] {
+					want = append(want, v)
+				}
+			}
+			res, err := QMatch(cur, q, &Options{FocusRestrict: restrict, CollectProfile: true})
+			if err != nil {
+				t.Fatalf("round %d pattern %d: %v", round, pi, err)
+			}
+			if !reflect.DeepEqual(res.Matches, want) && len(res.Matches)+len(want) > 0 {
+				t.Fatalf("round %d pattern %d: fast path = %v, unrestricted ∩ restriction = %v\npattern:\n%s",
+					round, pi, res.Matches, want, q)
+			}
+			if !res.Profile.Patterns[0].FastPath {
+				t.Fatalf("round %d pattern %d: a %d-node restriction on %d nodes did not take the fast path", round, pi, len(in), n)
+			}
+			for _, pp := range res.Profile.Patterns {
+				for _, np := range pp.Nodes {
+					ui, _ := q.NodeIndex(np.Name)
+					row := len(cur.NodesByLabelName(q.Nodes[ui].Label))
+					if np.Candidates != row || np.Accepted != row {
+						t.Fatalf("round %d pattern %d %s node %s: candidates %d accepted %d, want label row %d",
+							round, pi, pp.Pattern, np.Name, np.Candidates, np.Accepted, row)
+					}
+				}
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package match
 
 import (
+	"repro/internal/bitset"
 	"repro/internal/graph"
 )
 
@@ -30,28 +31,16 @@ func (m *Metrics) Add(other Metrics) {
 }
 
 // run enumerates isomorphisms of the compiled pattern with the focus bound
-// to vx, over the candidate sets selected by restrict (one bitset per
-// pattern node; nil entries fall back to pr.cand). onIso is invoked for
-// every complete isomorphism; returning false stops the enumeration.
+// to vx, drawing each pattern node's images from sets (pr.cand for
+// counting, pr.accept for acceptance) and, when filter is non-nil, only
+// the images filter admits. onIso is invoked for every complete
+// isomorphism; returning false stops the enumeration.
 //
 // assign is indexed by pattern node; the slice passed to onIso is reused
 // across calls and must not be retained.
-func (pr *program) run(vx graph.NodeID, acceptance bool, m *Metrics, onIso func(assign []graph.NodeID) bool) {
-	pr.version++
-	if pr.version == 0 { // stamp wrap-around: reset
-		for i := range pr.used {
-			pr.used[i] = 0
-		}
-		pr.version = 1
-	}
+func (pr *program) run(vx graph.NodeID, sets []*bitset.Set, filter func(u int, w graph.NodeID) bool, m *Metrics, onIso func(assign []graph.NodeID) bool) {
 	assign := make([]graph.NodeID, len(pr.p.Nodes))
 	assign[pr.p.Focus] = vx
-	pr.used[vx] = pr.version
-
-	sets := pr.cand
-	if acceptance {
-		sets = pr.accept
-	}
 
 	var rec func(i int) bool
 	rec = func(i int) bool {
@@ -76,23 +65,31 @@ func (pr *program) run(vx graph.NodeID, acceptance bool, m *Metrics, onIso func(
 				pr.budgetExceeded = true
 				return false
 			}
-			if pr.used[w] == pr.version || !sets[u].Contains(int(w)) {
+			if !pr.in(sets, u, w) || pr.bound(i, w, assign) {
 				continue
 			}
-			if !pr.checkBoundEdges(i, u, w, assign) {
+			if (filter != nil && !filter(u, w)) || !pr.checkBoundEdges(i, u, w, assign) {
 				continue
 			}
 			assign[u] = w
-			pr.used[w] = pr.version
-			cont := rec(i + 1)
-			pr.used[w] = pr.version - 1
-			if !cont {
+			if !rec(i + 1) {
 				return false
 			}
 		}
 		return true
 	}
 	rec(1)
+}
+
+// bound reports whether w is already the image of a node at positions
+// before i — the injectivity test, a scan of at most |VQ| entries.
+func (pr *program) bound(i int, w graph.NodeID, assign []graph.NodeID) bool {
+	for _, u := range pr.order[:i] {
+		if assign[u] == w {
+			return true
+		}
+	}
+	return false
 }
 
 // checkBoundEdges verifies the pattern edges that become fully bound when

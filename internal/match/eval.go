@@ -1,7 +1,6 @@
 package match
 
 import (
-	"repro/internal/bitset"
 	"repro/internal/core"
 	"repro/internal/graph"
 )
@@ -22,31 +21,19 @@ type realizedKey struct {
 // (pr.cand); only acceptance may use the threshold-filtered sets.
 //
 // restrict, when non-nil, limits the focus candidates (used by IncQMatch
-// and by parallel workers). earlyAccept enables QMatch's early
-// termination: once some isomorphism's images all meet their (monotone)
-// thresholds, vx is accepted without exhausting the search.
-func evalPositive(pr *program, restrict *bitset.Set, earlyAccept bool, m *Metrics) []graph.NodeID {
+// and by parallel workers); it is sorted and duplicate-free. earlyAccept
+// enables QMatch's early termination: once some isomorphism's images all
+// meet their (monotone) thresholds, vx is accepted without exhausting the
+// search.
+func evalPositive(pr *program, restrict []graph.NodeID, earlyAccept bool, m *Metrics) []graph.NodeID {
 	quantOut := make([][]int, len(pr.p.Nodes))
 	for _, ei := range pr.quant {
 		e := pr.p.Edges[ei]
 		quantOut[e.From] = append(quantOut[e.From], ei)
 	}
 
-	// Iterate candidates in ascending bit order (ForEach is ordered)
-	// instead of materializing and sorting them, and walk whichever of
-	// the acceptance set and the restriction is smaller — a scoped
-	// re-verification restricts to a handful of nodes and must not pay
-	// a full sweep over every label-compatible candidate.
-	iter, filter := pr.accept[pr.p.Focus], restrict
-	if restrict != nil && restrict.Count() < iter.Count() {
-		iter, filter = restrict, pr.accept[pr.p.Focus]
-	}
 	var answers []graph.NodeID
-	iter.ForEach(func(vi int) bool {
-		if filter != nil && !filter.Contains(vi) {
-			return true
-		}
-		vx := graph.NodeID(vi)
+	pr.eachFocus(restrict, func(vx graph.NodeID) bool {
 		m.FocusCandidates++
 		if pr.matchFocus(vx, quantOut, earlyAccept, m) {
 			answers = append(answers, vx)
@@ -64,7 +51,7 @@ func (pr *program) matchFocus(vx graph.NodeID, quantOut [][]int, earlyAccept boo
 	if len(pr.quant) == 0 {
 		// Conventional pattern: existence of one isomorphism suffices.
 		found := false
-		pr.run(vx, true, m, func([]graph.NodeID) bool {
+		pr.run(vx, pr.accept, nil, m, func([]graph.NodeID) bool {
 			found = true
 			return false
 		})
@@ -76,7 +63,7 @@ func (pr *program) matchFocus(vx graph.NodeID, quantOut [][]int, earlyAccept boo
 	accepted := false
 	canEarly := earlyAccept && !pr.hasEQ
 
-	pr.run(vx, false, m, func(assign []graph.NodeID) bool {
+	pr.run(vx, pr.cand, nil, m, func(assign []graph.NodeID) bool {
 		foundAny = true
 		for _, ei := range pr.quant {
 			e := pr.p.Edges[ei]
@@ -119,7 +106,7 @@ func (pr *program) matchFocus(vx graph.NodeID, quantOut [][]int, earlyAccept boo
 		return false
 	}
 	ok := false
-	pr.runFiltered(vx, m, countOK, func([]graph.NodeID) bool {
+	pr.run(vx, pr.accept, countOK, m, func([]graph.NodeID) bool {
 		ok = true
 		return false
 	})
@@ -151,69 +138,4 @@ func (pr *program) imagesSatisfied(assign []graph.NodeID, realized map[realizedK
 		}
 	}
 	return true
-}
-
-// runFiltered is run over the acceptance sets with an additional per-node
-// candidate predicate.
-func (pr *program) runFiltered(vx graph.NodeID, m *Metrics, filter func(u int, w graph.NodeID) bool, onIso func([]graph.NodeID) bool) {
-	pr.version++
-	if pr.version == 0 {
-		for i := range pr.used {
-			pr.used[i] = 0
-		}
-		pr.version = 1
-	}
-	assign := make([]graph.NodeID, len(pr.p.Nodes))
-	assign[pr.p.Focus] = vx
-	pr.used[vx] = pr.version
-
-	var rec func(i int) bool
-	rec = func(i int) bool {
-		if i == len(pr.order) {
-			m.Verifications++
-			return onIso(assign)
-		}
-		u := pr.order[i]
-		a := pr.anchors[i]
-		e := pr.p.Edges[a.edge]
-		l := pr.edgeLabel[a.edge]
-		var edges []graph.Edge
-		if a.out {
-			edges = pr.g.OutByLabel(assign[e.From], l)
-		} else {
-			edges = pr.g.InByLabel(assign[e.To], l)
-		}
-		for _, ge := range edges {
-			w := ge.To
-			m.Extensions++
-			if pr.budget > 0 && m.Extensions > pr.budget {
-				pr.budgetExceeded = true
-				return false
-			}
-			if pr.used[w] == pr.version || !pr.accept[u].Contains(int(w)) {
-				continue
-			}
-			if !filter(u, w) || !pr.checkBoundEdges(i, u, w, assign) {
-				continue
-			}
-			assign[u] = w
-			pr.used[w] = pr.version
-			cont := rec(i + 1)
-			pr.used[w] = pr.version - 1
-			if !cont {
-				return false
-			}
-		}
-		return true
-	}
-	rec(1)
-}
-
-// toBitset converts a node list into a bitset of capacity n.
-func toBitset(nodes []graph.NodeID, n int) *bitset.Set {
-	s := bitset.New(n)
-	for _, v := range nodes {
-		s.Add(int(v))
-	}
-	return s
 }

@@ -1,11 +1,13 @@
 package match
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
 	"repro/internal/core"
 	"repro/internal/fixture"
+	"repro/internal/gen"
 	"repro/internal/graph"
 )
 
@@ -132,6 +134,44 @@ func TestFocusRestrict(t *testing.T) {
 	}
 	if !reflect.DeepEqual(res.Matches, ids(f.X2)) {
 		t.Fatalf("restricted matches = %v, want [x2]", res.Matches)
+	}
+}
+
+// TestFocusRestrictOutOfRange: a FocusRestrict id outside the graph is an
+// error from every entry point — not an index panic, and not silently
+// dropped.
+func TestFocusRestrictOutOfRange(t *testing.T) {
+	g := gen.Social(gen.DefaultSocial(600, 1))
+	q, err := core.Parse("qgp\nn xo person *\nn z person\nn p product\ne xo z follow >=2\ne xo p like =0\n")
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries := map[string]func(*Options) error{
+		"MatchSets": func(o *Options) error {
+			pi, _ := q.Pi()
+			_, err := MatchSets(g, pi, o)
+			return err
+		},
+	}
+	for name, algo := range algorithms {
+		entries[name] = func(o *Options) error { _, err := algo(g, q, o); return err }
+	}
+	n := g.NumNodes()
+	for _, bad := range []graph.NodeID{-1, graph.NodeID(n), graph.NodeID(n + 100)} {
+		want := fmt.Sprintf("match: focus restriction node %d outside [0, %d)", bad, n)
+		for name, run := range entries {
+			err := func() (err error) {
+				defer func() {
+					if r := recover(); r != nil {
+						err = fmt.Errorf("panic: %v", r)
+					}
+				}()
+				return run(&Options{FocusRestrict: []graph.NodeID{3, bad, 1}})
+			}()
+			if err == nil || err.Error() != want {
+				t.Errorf("%s with restriction node %d: err = %v, want %q", name, bad, err, want)
+			}
+		}
 	}
 }
 

@@ -30,12 +30,16 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 		images[i] = make(map[graph.NodeID]struct{})
 	}
 
+	restrict, err := combineRestrictions(g.NumNodes(), opts, nil)
+	if err != nil {
+		return nil, err
+	}
 	pr, err := compile(g, q, true, true, nil)
 	if err == nil {
 		if opts != nil {
 			pr.budget = opts.ExtensionBudget
 		}
-		if err := collectMatchSets(pr, opts, images); err != nil {
+		if err := collectMatchSets(pr, restrict, images); err != nil {
 			return nil, err
 		}
 	}
@@ -51,26 +55,22 @@ func MatchSets(g *graph.Graph, q *core.Pattern, opts *Options) (map[string][]gra
 	return out, nil
 }
 
-// collectMatchSets enumerates, per focus candidate, the valid matches and
-// records every image. Validity needs exact counts, so early acceptance is
-// disabled and each accepted candidate re-enumerates over the count-valid
-// filter.
-func collectMatchSets(pr *program, opts *Options, images []map[graph.NodeID]struct{}) error {
+// collectMatchSets enumerates, per focus candidate in restrict (nil =
+// all), the valid matches and records every image. Validity needs exact
+// counts, so early acceptance is disabled and each accepted candidate
+// re-enumerates over the count-valid filter.
+func collectMatchSets(pr *program, restrict []graph.NodeID, images []map[graph.NodeID]struct{}) error {
 	quantOut := make([][]int, len(pr.p.Nodes))
 	for _, ei := range pr.quant {
 		e := pr.p.Edges[ei]
 		quantOut[e.From] = append(quantOut[e.From], ei)
 	}
-	restrict := combineRestrictions(pr.g.NumNodes(), opts, nil)
 
 	var m Metrics
-	for _, vx := range pr.focusCandidates() {
-		if restrict != nil && !restrict.Contains(int(vx)) {
-			continue
-		}
+	pr.eachFocus(restrict, func(vx graph.NodeID) bool {
 		realized := make(map[realizedKey]map[graph.NodeID]struct{})
 		found := false
-		pr.run(vx, false, &m, func(assign []graph.NodeID) bool {
+		pr.run(vx, pr.cand, nil, &m, func(assign []graph.NodeID) bool {
 			found = true
 			for _, ei := range pr.quant {
 				e := pr.p.Edges[ei]
@@ -85,10 +85,10 @@ func collectMatchSets(pr *program, opts *Options, images []map[graph.NodeID]stru
 			return true
 		})
 		if pr.budgetExceeded {
-			return ErrBudgetExceeded
+			return false
 		}
 		if !found {
-			continue
+			return true
 		}
 		countOK := func(u int, w graph.NodeID) bool {
 			for _, ei := range quantOut[u] {
@@ -101,17 +101,18 @@ func collectMatchSets(pr *program, opts *Options, images []map[graph.NodeID]stru
 			return true
 		}
 		if !countOK(pr.p.Focus, vx) {
-			continue
+			return true
 		}
-		pr.runFiltered(vx, &m, countOK, func(assign []graph.NodeID) bool {
+		pr.run(vx, pr.accept, countOK, &m, func(assign []graph.NodeID) bool {
 			for u, w := range assign {
 				images[u][w] = struct{}{}
 			}
 			return true
 		})
-		if pr.budgetExceeded {
-			return ErrBudgetExceeded
-		}
+		return !pr.budgetExceeded
+	})
+	if pr.budgetExceeded {
+		return ErrBudgetExceeded
 	}
 	return nil
 }
